@@ -1,6 +1,6 @@
 """2D FFT with simultaneous edge-artifact removal.
 
-Core pieces: a radix-2 row-column 2D FFT with naive-DFT oracles
+Core pieces: numpy.fft wrappers with naive-DFT oracles
 (:mod:`psdfft.fft_core`), the periodic-plus-smooth decomposition with its
 boundary-vector shortcut (:mod:`psdfft.psd`), mirroring/window baselines
 (:mod:`psdfft.baselines`), closed-form cost accounting
@@ -19,15 +19,12 @@ from .errors import (
 )
 from .fft_core import (
     OpCounter,
-    TwiddleTable,
-    bit_reverse_indices,
     fft_1d,
     fft_2d,
     fft_axis,
     ifft_2d,
     naive_dft_1d,
     naive_dft_2d,
-    twiddle_table,
 )
 from .io_formats import (
     SpectrumExport,
@@ -76,10 +73,8 @@ __all__ = [
     "SpectralDecomposition",
     "SpectrumExport",
     "TraceEvent",
-    "TwiddleTable",
     "WindowSpec",
     "apodize",
-    "bit_reverse_indices",
     "border_image",
     "boundary_data",
     "cost_table",
@@ -106,7 +101,6 @@ __all__ = [
     "smooth_spectrum",
     "spectra",
     "spectrum_export",
-    "twiddle_table",
     "window_1d",
     "write_pgm",
     "write_report",

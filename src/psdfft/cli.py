@@ -12,7 +12,6 @@ bench         time repeated frames and report ms/frame and frames/second
 Exit codes: 0 success, 2 usage (argparse), 3 unreadable/malformed input,
 4 unsupported dimensions, 5 bad parameter or simulated-capacity overflow.
 
-``PSDFFT_THREADS`` caps row-FFT parallelism (0 = sequential, the default).
 Identical seeds and flags produce byte-identical output files.
 """
 

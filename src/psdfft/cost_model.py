@@ -9,14 +9,10 @@ Per n x m frame, in data points:
 
 Mirroring transforms a doubled 2n x 2m image (two passes over 4nm points).
 Plain psd runs two full 2D FFTs, one over the image and one over the border
-image.  The optimized psd replaces the border's column pass with a single
-column FFT plus scalings, so external traffic drops to the two image passes
-(2nm), the border row pass (nm), and the n + m - 1 distinct boundary values.
-
-Note the opsd DFT formula's column term: an instrumented run computes one
-length-n column FFT and therefore tallies 3nm + n, which is identical on
-square frames (the usual benchmarking shape) but differs from the formula's
-3nm + m when n != m.  ``reconcile`` reports the per-field deltas either way.
+image.  The optimized psd replaces the border's row pass with a single
+length-m row FFT plus scalings, so external traffic drops to the two image
+passes (2nm), the border column pass (nm), and the n + m - 1 distinct
+boundary values.
 """
 
 from __future__ import annotations

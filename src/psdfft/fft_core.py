@@ -1,4 +1,4 @@
-"""Radix-2 FFT kernels, naive DFT oracles, and 2D row-column transforms.
+"""numpy.fft wrappers with the power-of-two contract, plus naive DFT oracles.
 
 Conventions
 -----------
@@ -6,31 +6,28 @@ All transforms are unnormalized in the forward direction,
 
     X[k] = sum_j x[j] * w**(j*k),   w = exp(-2j*pi/n),
 
-and the inverse applies conjugate twiddles with a 1/n scale, so that
-``fft_1d(fft_1d(x), inverse=True) == x``.  The 2D transform is the usual
-row-column decomposition: one 1D FFT per row, then one per column.  Matrices
-are ``numpy`` arrays indexed ``[row, col]`` (row-major), vectors are 1D
-arrays.  The fast paths require power-of-two lengths >= 2; the naive oracles
-accept any length and exist so every fast path can be checked against a
-direct evaluation of the transform definition.
+and the inverse scales by 1/n, so that
+``fft_1d(fft_1d(x), inverse=True) == x``.  These are numpy's defaults; the
+fast paths call ``np.fft`` directly.  Matrices are ``numpy`` arrays indexed
+``[row, col]`` (row-major), vectors are 1D arrays.  The fast paths require
+power-of-two lengths >= 2; the naive oracles accept any length and exist so
+every fast path can be checked against a direct evaluation of the transform
+definition.
 
 An :class:`OpCounter` can be threaded through the 2D entry points to tally
 how many DFT output points were produced and how many input points were
-pulled from (simulated) external memory; the cost model reconciles those
-tallies against closed-form expectations.
+pulled from (simulated) external memory, counted as a row-column
+decomposition would: one 1D FFT per row, then one per column.  The cost
+model reconciles those tallies against closed-form expectations.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, SizeError
-
-THREADS_ENV_VAR = "PSDFFT_THREADS"
 
 
 @dataclass
@@ -62,58 +59,6 @@ class OpCounter:
             self.dft_points + other.dft_points,
             self.ext_mem_points + other.ext_mem_points,
         )
-
-
-class TwiddleTable:
-    """Roots of unity w**k = exp(-2j*pi*k/n) for one transform length.
-
-    ``factor(k)`` wraps the index mod n, matching the periodicity
-    w**k == w**(k + l*n) that the stage-striding in the FFT kernel relies on.
-    """
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise SizeError("twiddle table length must be >= 1")
-        self.n = n
-        self.factors = np.exp(-2j * np.pi * np.arange(n) / n)
-        self.factors.setflags(write=False)
-        self._inverse = None
-
-    def factor(self, k: int) -> complex:
-        return self.factors[k % self.n]
-
-    @property
-    def inverse_factors(self) -> np.ndarray:
-        if self._inverse is None:
-            self._inverse = np.conj(self.factors)
-            self._inverse.setflags(write=False)
-        return self._inverse
-
-
-_TABLE_CACHE: dict[int, TwiddleTable] = {}
-_BITREV_CACHE: dict[int, np.ndarray] = {}
-
-
-def twiddle_table(n: int) -> TwiddleTable:
-    table = _TABLE_CACHE.get(n)
-    if table is None:
-        table = _TABLE_CACHE.setdefault(n, TwiddleTable(n))
-    return table
-
-
-def bit_reverse_indices(n: int) -> np.ndarray:
-    """Bit-reversal permutation for a power-of-two length n."""
-    perm = _BITREV_CACHE.get(n)
-    if perm is None:
-        bits = n.bit_length() - 1
-        idx = np.arange(n, dtype=np.intp)
-        perm = np.zeros(n, dtype=np.intp)
-        for _ in range(bits):
-            perm = (perm << 1) | (idx & 1)
-            idx >>= 1
-        perm.setflags(write=False)
-        _BITREV_CACHE[n] = perm
-    return perm
 
 
 def is_power_of_two(n: int) -> bool:
@@ -148,78 +93,18 @@ def as_real_matrix(a) -> np.ndarray:
     return arr
 
 
-def thread_count() -> int:
-    """Worker threads for batched row FFTs; 0 or 1 means sequential."""
-    raw = os.environ.get(THREADS_ENV_VAR, "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParameterError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
-    return max(value, 0)
-
-
-def _radix2_batch(rows: np.ndarray, inverse: bool) -> np.ndarray:
-    """Iterative in-order Cooley-Tukey over the last axis of a (B, n) block.
-
-    Bit-reverse the inputs once, then run log2(n) stages; each stage applies
-    n/2 butterflies per row, vectorized over the whole batch.  Stage twiddles
-    exp(-2j*pi*k/step) are strided views of the length-n table, using the
-    mod-n periodicity of w**k.
-    """
-    n = rows.shape[-1]
-    table = twiddle_table(n)
-    factors = table.inverse_factors if inverse else table.factors
-    out = rows[:, bit_reverse_indices(n)]
-
-    half, step = 1, 2
-    while step <= n:
-        tw = factors[:: n // step][:half]
-        blocks = out.reshape(out.shape[0], n // step, step)
-        lo = blocks[:, :, :half]
-        hi = blocks[:, :, half:] * tw
-        blocks[:, :, half:] = lo - hi
-        blocks[:, :, :half] += hi
-        half, step = step, step * 2
-
-    if inverse:
-        out *= 1.0 / n
-    return out
-
-
-def _fft_batch(rows: np.ndarray, inverse: bool, threads: int) -> np.ndarray:
-    """Transform every row of a (B, n) block, optionally splitting the batch
-    across threads.  Rows are independent, so the split cannot change the
-    arithmetic; results are identical at any thread count.
-    """
-    nrows = rows.shape[0]
-    if threads <= 1 or nrows < 2 * threads:
-        return _radix2_batch(rows, inverse)
-
-    out = np.empty_like(rows)
-    bounds = np.linspace(0, nrows, threads + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(_radix2_batch, rows[lo:hi], inverse)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        offset = 0
-        for fut in futures:
-            block = fut.result()
-            out[offset : offset + block.shape[0]] = block
-            offset += block.shape[0]
-    return out
+def _fast_matrix(a) -> np.ndarray:
+    arr = as_complex_matrix(a)
+    _require_fast_length(arr.shape[0], "row count")
+    _require_fast_length(arr.shape[1], "column count")
+    return arr
 
 
 def fft_1d(v, inverse: bool = False) -> np.ndarray:
-    """Radix-2 FFT of a power-of-two-length vector.
-
-    Forward is unnormalized; inverse conjugates the twiddles and scales
-    by 1/n.
-    """
+    """FFT of a power-of-two-length vector; inverse scales by 1/n."""
     vec = as_complex_vector(v)
     _require_fast_length(vec.size, "fft_1d length")
-    return _radix2_batch(vec[np.newaxis, :], inverse)[0]
+    return np.fft.ifft(vec) if inverse else np.fft.fft(vec)
 
 
 def naive_dft_1d(v, inverse: bool = False) -> np.ndarray:
@@ -232,52 +117,31 @@ def naive_dft_1d(v, inverse: bool = False) -> np.ndarray:
     return dft_matrix @ vec
 
 
-def fft_axis(a, axis: int, inverse: bool = False, threads: int | None = None) -> np.ndarray:
+def fft_axis(a, axis: int, inverse: bool = False) -> np.ndarray:
     """One row-column-decomposition pass: a 1D FFT along one axis of a matrix."""
     arr = as_complex_matrix(a)
     _require_fast_length(arr.shape[axis], "transform length")
-    if threads is None:
-        threads = thread_count()
-    moved = np.moveaxis(arr, axis, -1)
-    flat = np.ascontiguousarray(moved.reshape(-1, arr.shape[axis]))
-    done = _fft_batch(flat, inverse, threads)
-    return np.ascontiguousarray(np.moveaxis(done.reshape(moved.shape), -1, axis))
+    return np.fft.ifft(arr, axis=axis) if inverse else np.fft.fft(arr, axis=axis)
 
 
-def fft_2d(
-    a,
-    counter: OpCounter | None = None,
-    *,
-    columns_first: bool = False,
-    threads: int | None = None,
-) -> np.ndarray:
-    """Full 2D DFT of an n x m matrix by row-column decomposition.
+def fft_2d(a, counter: OpCounter | None = None) -> np.ndarray:
+    """Full 2D DFT of an n x m matrix.
 
-    Each of the two passes produces n*m output points and reads its n*m
-    input points from frame storage, so ``counter`` grows by 2*n*m on both
-    tallies.  Pass order is selectable only to let tests confirm it does
-    not matter.
+    Counted as a row-column decomposition: each of the two passes produces
+    n*m output points and reads its n*m input points from frame storage, so
+    ``counter`` grows by 2*n*m on both tallies.
     """
-    arr = as_complex_matrix(a)
+    arr = _fast_matrix(a)
     n, m = arr.shape
-    _require_fast_length(n, "row count")
-    _require_fast_length(m, "column count")
-    axes = (0, 1) if columns_first else (1, 0)
-    for axis in axes:
-        arr = fft_axis(arr, axis, inverse=False, threads=threads)
+    out = np.fft.fft2(arr)
     if counter is not None:
         counter.add(dft=2 * n * m, ext=2 * n * m)
-    return arr
+    return out
 
 
-def ifft_2d(x, *, threads: int | None = None) -> np.ndarray:
+def ifft_2d(x) -> np.ndarray:
     """Inverse 2D DFT with 1/(n*m) normalization."""
-    arr = as_complex_matrix(x)
-    _require_fast_length(arr.shape[0], "row count")
-    _require_fast_length(arr.shape[1], "column count")
-    for axis in (1, 0):
-        arr = fft_axis(arr, axis, inverse=True, threads=threads)
-    return arr
+    return np.fft.ifft2(_fast_matrix(x))
 
 
 def naive_dft_2d(a) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Models the accelerator-style flow functionally: a host packs each frame as
 image + boundary row + boundary column (nm + n + m points), the image lands
-in external DRAM, the small boundary vectors and the shared column shape nu
+in external DRAM, the small boundary vectors and the shared row shape nu
 live in on-chip BRAM, and local read/write buffers stage data between
 memory and the FFT cores.  A control-unit-style trace records every pass's
 memory traffic as (pass_label, region, op, points) events; there is no
@@ -11,8 +11,8 @@ between them.
 
 Read events are exactly the points pulled in as 1D-FFT input, so the final
 counter's external-memory tally lands on the closed-form optimized cost
-3nm + n + m - 1: two image passes (2nm), the border row pass (nm), and the
-n + m - 1 distinct boundary values (the corner is read once).  Boundary
+3nm + n + m - 1: two image passes (2nm), the border column pass (nm), and
+the n + m - 1 distinct boundary values (the corner is read once).  Boundary
 work never touches DRAM; only the image passes do.
 """
 
@@ -232,8 +232,8 @@ def run_pipeline(
 
     # nu is built on-device next to the boundary vectors (twiddle
     # arithmetic, not DFT work).
-    trace.regions["bram"].place(n)
-    trace.record("nu_setup", "bram", "write", n)
+    trace.regions["bram"].place(m)
+    trace.record("nu_setup", "bram", "write", m)
 
     # Image passes: plain row-column 2D FFT against DRAM.
     trace.record("image_rows", "dram", "read", nm)
@@ -246,20 +246,20 @@ def run_pipeline(
     trace.counter.add(dft=nm)
     trace.record("image_cols", "dram", "write", nm)
 
-    # Boundary passes: BRAM-resident shortcut, no DRAM traffic.  The column
+    # Boundary passes: BRAM-resident shortcut, no DRAM traffic.  The row
     # stage reads the n + m - 1 distinct boundary points (shared corner read
-    # once) and stages the single column FFT for the row stage; the row
-    # stage assembles each of its n * m input points from the staged column,
+    # once) and stages the single row FFT for the column stage; the column
+    # stage assembles each of its n * m input points from the staged row,
     # nu, and the scale factors.
-    trace.record("boundary_cols", "bram", "read", n + m - 1)
+    trace.record("boundary_rows", "bram", "read", n + m - 1)
     bhat = opsd_boundary_spectrum(pkt.boundary())
-    trace.counter.add(dft=n)
-    trace.record("boundary_cols", "local_read", "write", n)
+    trace.counter.add(dft=m)
+    trace.record("boundary_rows", "local_read", "write", m)
 
-    trace.record("boundary_rows", "local_read", "read", n)
-    trace.record("boundary_rows", "bram", "read", n * (m - 1))
+    trace.record("boundary_cols", "local_read", "read", m)
+    trace.record("boundary_cols", "bram", "read", m * (n - 1))
     trace.counter.add(dft=nm)
-    trace.record("boundary_rows", "local_write", "write", nm)
+    trace.record("boundary_cols", "local_write", "write", nm)
 
     # Spectrum combine is elementwise bookkeeping; only the result landing
     # in external memory is traced.

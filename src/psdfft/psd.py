@@ -16,13 +16,14 @@ Its spectrum fixes S via
 for (s,t) != (0,0), with S_hat(0,0) = 0 so the smooth part is zero-mean, and
 then P_hat = I_hat - S_hat.
 
-The optimized path exploits the structure of B: every interior column of B
-holds a single value b at the top and -b at the bottom, so its column FFT is
-b times one shared shape vector nu, and the last column's FFT follows from
-the first column's by negation plus a corner correction.  Only one length-n
-column FFT is ever computed; the remaining column work is scalar scaling.
-Only the first row and first column of B (n + m + 1 numbers) are needed, so
-the full border image is never materialized on the fast path.
+The optimized path exploits the structure of B: every interior row of B
+holds a single value b at the left and -b at the right, so its row FFT is
+b times one shared shape vector nu, and the last row's FFT follows from
+the first row's by negation plus a corner correction.  Only one length-m
+row FFT is ever computed; the remaining row work is scalar scaling, and a
+normal column pass finishes the transform.  Only the first row and first
+column of B (n + m + 1 numbers) are needed, so the full border image is
+never materialized on the fast path.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SizeError
+from .errors import ParameterError, SizeError
 from .fft_core import (
     OpCounter,
     as_complex_matrix,
@@ -41,7 +42,6 @@ from .fft_core import (
     fft_2d,
     fft_axis,
     ifft_2d,
-    twiddle_table,
 )
 
 RESIDUE_TOL = 1e-9
@@ -52,8 +52,9 @@ class BoundaryData:
     """First row and first column of the border image, plus the corner term.
 
     ``first_row[0] == first_col[0]`` (both are B(0,0)).  ``corner_sum`` is
-    B(0,0) + B(0,m-1), the scalar that corrects the last column's FFT.
-    This is all the border content the optimized path needs.
+    B(0,0) + B(0,m-1).  The optimized path corrects the last row with the
+    column counterpart B(0,0) + B(n-1,0), read from ``first_col``, so the
+    two vectors are all the border content it needs.
     """
 
     first_row: np.ndarray
@@ -119,7 +120,7 @@ def boundary_data(image) -> BoundaryData:
 
 
 def nu_vector(n: int) -> np.ndarray:
-    """Shared column-FFT shape (0, 1-w**(n-1), 1-w**(n-2), ..., 1-w).
+    """Shared row-FFT shape (0, 1-w**(n-1), 1-w**(n-2), ..., 1-w).
 
     This is the FFT of (b, 0, ..., 0, -b) divided by b: entry k equals
     1 - w**(n-k), which is exactly 0 at k=0 and conjugate-paired around the
@@ -127,33 +128,33 @@ def nu_vector(n: int) -> np.ndarray:
     """
     if n < 2:
         raise SizeError(f"nu vector needs length >= 2, got {n}")
-    factors = twiddle_table(n).factors
-    return 1.0 - factors[(n - np.arange(n)) % n]
+    return 1.0 - np.exp(-2j * np.pi * ((n - np.arange(n)) % n) / n)
 
 
 def opsd_boundary_spectrum(bd: BoundaryData, counter: OpCounter | None = None) -> np.ndarray:
     """Full 2D spectrum of the border image from boundary vectors alone.
 
-    Column stage: one length-n FFT of the first column; interior column j
-    is first_row[j] * nu; the last column is -(first column's FFT) plus
-    corner_sum * nu.  The row stage is then computed normally.  Counted
-    work: n DFT points for the single column FFT plus n*m for the row pass
-    (the scalings are not DFT points), and n + m - 1 boundary-point reads
-    (the shared corner is read once) plus n*m row-pass input reads.
+    Row stage: one length-m FFT of the first row; interior row i is
+    first_col[i] * nu; the last row is -(first row's FFT) plus
+    (first_col[0] + first_col[n-1]) * nu.  The column stage is then
+    computed normally.  Counted work: m DFT points for the single row FFT
+    plus n*m for the column pass (the scalings are not DFT points), and
+    n + m - 1 boundary-point reads (the shared corner is read once) plus
+    n*m column-pass input reads.
     """
     n, m = bd.n, bd.m
     stacked = np.empty((n, m), dtype=np.complex128)
 
-    first_col_hat = fft_1d(bd.first_col)
-    nu = nu_vector(n)
-    stacked[:, 0] = first_col_hat
-    if m > 2:
-        stacked[:, 1 : m - 1] = np.outer(nu, bd.first_row[1 : m - 1])
-    stacked[:, m - 1] = bd.corner_sum * nu - first_col_hat
+    first_row_hat = fft_1d(bd.first_row)
+    nu = nu_vector(m)
+    stacked[0, :] = first_row_hat
+    if n > 2:
+        stacked[1 : n - 1, :] = np.outer(bd.first_col[1 : n - 1], nu)
+    stacked[n - 1, :] = (bd.first_col[0] + bd.first_col[n - 1]) * nu - first_row_hat
 
-    bhat = fft_axis(stacked, axis=1)
+    bhat = fft_axis(stacked, axis=0)
     if counter is not None:
-        counter.add(dft=n + n * m, ext=(n + m - 1) + n * m)
+        counter.add(dft=m + n * m, ext=(n + m - 1) + n * m)
     return bhat
 
 
@@ -220,30 +221,32 @@ def spectra(image, method: str = "opsd", counter: OpCounter | None = None) -> Sp
         raise ValueError(f"unknown method {method!r}")
     shat = smooth_spectrum(bhat)
     phat = periodic_spectrum(ihat, shat)
+    if not np.all(np.isfinite(phat)):
+        raise ParameterError("spectrum is not finite; image values overflow the transform")
     return SpectralDecomposition(ihat, bhat, shat, phat)
 
 
 def decompose(image, method: str = "opsd", counter: OpCounter | None = None) -> Decomposition:
     """Full periodic-plus-smooth decomposition of a real image.
 
-    Returns the two spectra plus the spatial components p and s obtained by
-    inverse transform.  The imaginary residue of the inverse transforms is
-    checked against ``RESIDUE_TOL`` times the image peak before being
-    discarded; p + s reconstructs the input to the same order.
+    Returns the two spectra plus the spatial components: s by one inverse
+    transform of S_hat, and p = I - s, whose spectrum is P_hat.  The
+    imaginary residue of s is checked against ``RESIDUE_TOL`` times the
+    image peak before being discarded.
     """
     img = as_real_matrix(image)
     parts = spectra(img, method, counter)
 
-    p_complex = ifft_2d(parts.phat)
     s_complex = ifft_2d(parts.shat)
     limit = RESIDUE_TOL * max(np.abs(img).max(), np.finfo(np.float64).tiny)
-    residue = max(np.abs(p_complex.imag).max(), np.abs(s_complex.imag).max())
-    if residue > limit:
+    residue = np.abs(s_complex.imag).max()
+    if not residue <= limit:  # a NaN residue must fail too
         raise ArithmeticError(
             f"imaginary residue {residue:.3e} exceeds {limit:.3e}; "
             "input spectra are not those of a real image"
         )
-    return Decomposition(parts.phat, parts.shat, p_complex.real, s_complex.real)
+    smooth = s_complex.real
+    return Decomposition(parts.phat, parts.shat, img - smooth, smooth)
 
 
 def cross_axis_energy(spectrum) -> float:

@@ -121,18 +121,24 @@ class TestRunPipeline:
             assert reads == region.read_count
             assert writes == region.write_count
 
-    @pytest.mark.parametrize("size", [4, 8, 16, 32, 64, 128, 256, 512])
-    def test_trace_reconciles_exactly(self, size):
-        img = np.random.default_rng(size).standard_normal((size, size))
+    @pytest.mark.parametrize(
+        "n, m",
+        [pytest.param(s, s, id=str(s)) for s in (4, 8, 16, 32, 64, 128, 256, 512)]
+        + [pytest.param(n, m, id=f"{n}x{m}") for n, m in ((4, 8), (8, 4), (256, 16), (2, 512))],
+    )
+    def test_trace_reconciles_exactly(self, n, m):
+        img = np.random.default_rng(n if n == m else n * 1000 + m).standard_normal((n, m))
         _, trace = run_pipeline(pack_frame(img))
-        result = reconcile(cost_table(size, size).opsd, trace.counter)
+        result = reconcile(cost_table(n, m).opsd, trace.counter)
         assert result.exact
 
     def test_bram_only_holds_boundary_vectors_and_nu(self, rng):
-        _, trace = run_pipeline(pack_frame(rng.standard_normal((8, 8))))
-        bram = trace.regions["bram"]
-        assert bram.stored == 2 * 8 + 8
-        assert bram.stored <= bram.capacity
+        for n, m in ((8, 8), (4, 16)):
+            _, trace = run_pipeline(pack_frame(rng.standard_normal((n, m))))
+            bram = trace.regions["bram"]
+            # boundary row (m) and column (n), plus the length-m row shape nu
+            assert bram.stored == n + 2 * m
+            assert bram.stored <= bram.capacity
 
     def test_bram_capacity_overflow(self, rng):
         pkt = pack_frame(rng.standard_normal((8, 8)))

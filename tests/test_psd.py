@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 from psdfft import (
     BoundaryData,
     OpCounter,
+    ParameterError,
     SizeError,
     border_image,
     boundary_data,
+    cost_table,
     cross_axis_energy,
     decompose,
+    fft_2d,
     naive_dft_2d,
     nu_vector,
     opsd_boundary_spectrum,
@@ -223,6 +226,18 @@ class TestDecompose:
         assert abs(parts.smooth.mean()) < 1e-9 * peak
         assert abs(parts.periodic.mean() - img.mean()) < 1e-9 * peak
 
+    def test_periodic_component_carries_phat(self, rng):
+        img = rng.standard_normal((16, 32))
+        parts = decompose(img, "opsd")
+        assert rel_maxabs(fft_2d(parts.periodic), parts.phat, ref=parts.phat) < 1e-9
+
+    @pytest.mark.parametrize("route", [spectra, decompose])
+    def test_overflowing_image_is_rejected(self, route):
+        # finite pixels whose sums overflow float64: the spectra turn non-finite
+        signs = np.random.default_rng(3).choice([-1.0, 1.0], size=(8, 8))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ParameterError):
+            route(signs * 1e308, "opsd")
+
     def test_spectra_sum_back_to_image_spectrum(self, rng):
         img = rng.standard_normal((16, 16))
         parts = spectra(img, "opsd")
@@ -239,7 +254,7 @@ class TestDecompose:
         counter = OpCounter()
         decompose(rng.standard_normal((16, 8)), "opsd", counter)
         n, m = 16, 8
-        assert counter.dft_points == 3 * n * m + n
+        assert counter.dft_points == cost_table(n, m).opsd.dft_points
         assert counter.ext_mem_points == 3 * n * m + n + m - 1
 
     def test_naive_counter_totals(self, rng):
