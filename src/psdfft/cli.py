@@ -10,7 +10,8 @@ pipeline-sim  run the dataflow simulator and reconcile its trace
 bench         time repeated frames and report ms/frame and frames/second
 
 Exit codes: 0 success, 2 usage (argparse), 3 unreadable/malformed input,
-4 unsupported dimensions, 5 bad parameter or simulated-capacity overflow.
+4 unsupported dimensions, 5 bad parameter or simulated-capacity overflow,
+6 pipeline-sim trace that does not reconcile with the closed-form cost.
 
 Identical seeds and flags produce byte-identical output files.
 """
@@ -44,6 +45,8 @@ from .psd import cross_axis_energy, decompose, spectra
 
 # Conventional real-time bar for 512x512 image streams; informational on CPU.
 REAL_TIME_FPS = 23.0
+
+EXIT_MISMATCH = 6
 
 
 def _positive(value: str) -> int:
@@ -219,7 +222,7 @@ def cmd_pipeline_sim(args) -> int:
         print(f"reconciliation: MISMATCH (dft delta {result.dft_delta}, "
               f"dram delta {result.dram_delta})")
     print(f"periodic spectrum DC: {phat[0, 0].real:.6g}")
-    return 0
+    return 0 if result.exact else EXIT_MISMATCH
 
 
 @dataclass

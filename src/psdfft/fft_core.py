@@ -14,11 +14,20 @@ power-of-two lengths >= 2; the naive oracles accept any length and exist so
 every fast path can be checked against a direct evaluation of the transform
 definition.
 
+Real input takes a half-spectrum route.  The spectrum of a real n x m
+matrix is Hermitian, ``X[k, m-j] == conj(X[-k mod n, j])``, so
+:func:`fft_2d` transforms the rows with ``rfft`` (m//2+1 columns out), runs
+the column FFT on those columns in place inside the full-size output, and
+:func:`hermitian_fill` derives the remaining columns by conjugation.  The
+result is the full n x m spectrum, as for complex input, which still goes
+through ``np.fft.fft2``.
+
 An :class:`OpCounter` can be threaded through the 2D entry points to tally
 how many DFT output points were produced and how many input points were
 pulled from (simulated) external memory, counted as a row-column
-decomposition would: one 1D FFT per row, then one per column.  The cost
-model reconciles those tallies against closed-form expectations.
+decomposition would: one 1D FFT per row, then one per column.  The count
+does not depend on the route taken.  The cost model reconciles those
+tallies against closed-form expectations.
 """
 
 from __future__ import annotations
@@ -77,24 +86,28 @@ def as_complex_vector(v) -> np.ndarray:
     return arr
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.complex128)
+def _as_matrix(a, dtype) -> np.ndarray:
+    arr = np.asarray(a, dtype=dtype)
     if arr.ndim != 2 or arr.size == 0:
         raise SizeError("expected a non-empty 2D matrix")
     return arr
 
 
+def as_complex_matrix(a) -> np.ndarray:
+    return _as_matrix(a, np.complex128)
+
+
 def as_real_matrix(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
-        raise SizeError("expected a non-empty 2D matrix")
-    if not np.all(np.isfinite(arr)):
+    arr = _as_matrix(a, np.float64)
+    # min and max are finite exactly when every entry is (a NaN propagates);
+    # two reductions cost less than a frame-sized boolean mask
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise ParameterError("image contains non-finite values")
     return arr
 
 
-def _fast_matrix(a) -> np.ndarray:
-    arr = as_complex_matrix(a)
+def _fast_matrix(a, dtype=np.complex128) -> np.ndarray:
+    arr = _as_matrix(a, dtype)
     _require_fast_length(arr.shape[0], "row count")
     _require_fast_length(arr.shape[1], "column count")
     return arr
@@ -117,23 +130,55 @@ def naive_dft_1d(v, inverse: bool = False) -> np.ndarray:
     return dft_matrix @ vec
 
 
-def fft_axis(a, axis: int, inverse: bool = False) -> np.ndarray:
-    """One row-column-decomposition pass: a 1D FFT along one axis of a matrix."""
+def fft_axis(a, axis: int, inverse: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+    """One row-column-decomposition pass: a 1D FFT along one axis of a matrix.
+
+    ``out``, a complex128 array of the same shape, receives the result; it
+    may be ``a`` itself, which transforms a column block of a larger
+    spectrum in place.
+    """
     arr = as_complex_matrix(a)
     _require_fast_length(arr.shape[axis], "transform length")
-    return np.fft.ifft(arr, axis=axis) if inverse else np.fft.fft(arr, axis=axis)
+    transform = np.fft.ifft if inverse else np.fft.fft
+    return transform(arr, axis=axis, out=out)
+
+
+def hermitian_fill(x: np.ndarray) -> np.ndarray:
+    """Complete, in place, the spectrum of a real n x m matrix whose left
+    m//2+1 columns are set: ``X[k, m-j] = conj(X[-k mod n, j])`` for the
+    columns right of them.  Returns ``x``.
+    """
+    m = x.shape[1]
+    half = m // 2 + 1
+    np.conjugate(x[0, m - half : 0 : -1], out=x[0, half:])
+    np.conjugate(x[:0:-1, m - half : 0 : -1], out=x[1:, half:])
+    return x
 
 
 def fft_2d(a, counter: OpCounter | None = None) -> np.ndarray:
     """Full 2D DFT of an n x m matrix.
 
+    A real-dtype matrix (bool, integer or float) takes the half-spectrum
+    route: ``rfft`` along the rows into the left m//2+1 columns of the
+    output, the column FFT over those columns in place, then
+    :func:`hermitian_fill`.  Complex input goes through ``np.fft.fft2``.
+
     Counted as a row-column decomposition: each of the two passes produces
     n*m output points and reads its n*m input points from frame storage, so
     ``counter`` grows by 2*n*m on both tallies.
     """
-    arr = _fast_matrix(a)
+    arr = np.asarray(a)
+    real = arr.dtype.kind in "biuf"
+    arr = _fast_matrix(arr, np.float64 if real else np.complex128)
     n, m = arr.shape
-    out = np.fft.fft2(arr)
+    if real:
+        out = np.empty((n, m), dtype=np.complex128)
+        left = out[:, : m // 2 + 1]
+        np.fft.rfft(arr, axis=1, out=left)
+        np.fft.fft(left, axis=0, out=left)
+        hermitian_fill(out)
+    else:
+        out = np.fft.fft2(arr)
     if counter is not None:
         counter.add(dft=2 * n * m, ext=2 * n * m)
     return out

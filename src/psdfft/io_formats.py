@@ -5,6 +5,12 @@ is linear, so silent scaling would corrupt cross-checks); any rescaling for
 display happens explicitly through :func:`display_scale` and is meant to be
 logged by the caller.  16-bit PGM samples are big-endian per the de facto
 format convention.
+
+The exports work on frame-sized planes, so each one allocates its result
+once and does the rest of its arithmetic in place; the bytes written are the
+same as those of the plain expressions (``floor(clip(x) + 0.5)``,
+``x * gain + offset``, ``log1p(abs(X))``).  A P2 header is checked against
+the bytes that follow it before any pixel storage is allocated.
 """
 
 from __future__ import annotations
@@ -87,6 +93,13 @@ def read_pgm(data: bytes) -> np.ndarray:
 
     count = width * height
     if magic == b"P2":
+        # every ASCII sample needs at least one separator and one digit
+        remaining = len(data) - scan.pos
+        if count > remaining // 2:
+            raise FormatError(
+                f"header claims {width}x{height} pixels, but only {remaining} bytes follow it",
+                offset=scan.pos,
+            )
         values = np.empty(count, dtype=np.float64)
         for i in range(count):
             values[i] = scan.integer(f"pixel {i}")
@@ -115,9 +128,10 @@ def write_pgm(matrix, maxval: int = 255) -> bytes:
     if maxval not in (255, 65535):
         raise ParameterError(f"maxval must be 255 or 65535, got {maxval}")
     arr = as_real_matrix(matrix)
-    clipped = np.clip(arr, 0.0, float(maxval))
-    rounded = np.floor(clipped + 0.5)
-    rounded = np.minimum(rounded, float(maxval))
+    # floor(maxval + 0.5) == maxval, so the clip bounds the rounded values too
+    rounded = np.clip(arr, 0.0, float(maxval))
+    rounded += 0.5
+    np.floor(rounded, out=rounded)
     height, width = arr.shape
     header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
     dtype = ">u2" if maxval > 255 else np.uint8
@@ -149,7 +163,8 @@ def spectrum_export(spectrum, mode: str = "log_magnitude", shift: bool = True) -
     if mode == "magnitude":
         data = np.abs(arr)
     elif mode == "log_magnitude":
-        data = np.log1p(np.abs(arr))
+        data = np.abs(arr)
+        np.log1p(data, out=data)
     elif mode == "phase":
         data = np.angle(arr)
     elif mode == "real":
@@ -176,7 +191,9 @@ def display_scale(matrix, maxval: int = 255) -> tuple[np.ndarray, float, float]:
     else:
         gain = 1.0
     offset = -lo * gain
-    return arr * gain + offset, gain, offset
+    scaled = arr * gain
+    scaled += offset
+    return scaled, gain, offset
 
 
 def _record_dict(obj) -> dict:

@@ -24,6 +24,12 @@ row FFT is ever computed; the remaining row work is scalar scaling, and a
 normal column pass finishes the transform.  Only the first row and first
 column of B (n + m + 1 numbers) are needed, so the full border image is
 never materialized on the fast path.
+
+B and I are real, so their spectra are Hermitian.  Both are computed on
+their left m//2+1 columns only and completed by conjugation
+(:func:`psdfft.fft_core.hermitian_fill`), inside the full-size output with
+no half-width copy.  The smooth divide multiplies by a real reciprocal of
+the denominator, built per call.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .fft_core import (
     fft_1d,
     fft_2d,
     fft_axis,
+    hermitian_fill,
     ifft_2d,
 )
 
@@ -137,22 +144,30 @@ def opsd_boundary_spectrum(bd: BoundaryData, counter: OpCounter | None = None) -
     Row stage: one length-m FFT of the first row; interior row i is
     first_col[i] * nu; the last row is -(first row's FFT) plus
     (first_col[0] + first_col[n-1]) * nu.  The column stage is then
-    computed normally.  Counted work: m DFT points for the single row FFT
-    plus n*m for the column pass (the scalings are not DFT points), and
-    n + m - 1 boundary-point reads (the shared corner is read once) plus
-    n*m column-pass input reads.
+    computed normally.  The border image is real, so both stages run on
+    the left m//2+1 columns only, written straight into the output, and
+    :func:`hermitian_fill` completes the rest; the boundary vectors must
+    therefore be real.  Counted work, as for the full-width transform: m
+    DFT points for the single row FFT plus n*m for the column pass (the
+    scalings are not DFT points), and n + m - 1 boundary-point reads (the
+    shared corner is read once) plus n*m column-pass input reads.
     """
+    if np.iscomplexobj(bd.first_row) or np.iscomplexobj(bd.first_col):
+        raise ParameterError("boundary vectors must be real")
     n, m = bd.n, bd.m
-    stacked = np.empty((n, m), dtype=np.complex128)
+    half = m // 2 + 1
+    bhat = np.empty((n, m), dtype=np.complex128)
+    stacked = bhat[:, :half]
 
-    first_row_hat = fft_1d(bd.first_row)
-    nu = nu_vector(m)
+    first_row_hat = fft_1d(bd.first_row)[:half]
+    nu = nu_vector(m)[:half]
     stacked[0, :] = first_row_hat
     if n > 2:
-        stacked[1 : n - 1, :] = np.outer(bd.first_col[1 : n - 1], nu)
+        np.multiply(bd.first_col[1 : n - 1, None], nu, out=stacked[1 : n - 1, :])
     stacked[n - 1, :] = (bd.first_col[0] + bd.first_col[n - 1]) * nu - first_row_hat
 
-    bhat = fft_axis(stacked, axis=0)
+    fft_axis(stacked, axis=0, out=stacked)
+    hermitian_fill(bhat)
     if counter is not None:
         counter.add(dft=m + n * m, ext=(n + m - 1) + n * m)
     return bhat
@@ -163,17 +178,19 @@ def smooth_spectrum(bhat) -> np.ndarray:
 
     Divides by 2 cos(2 pi s / n) + 2 cos(2 pi t / m) - 4, whose only zero on
     the grid is (s,t) = (0,0); that entry is defined as 0, which keeps the
-    smooth component zero-mean.
+    smooth component zero-mean.  The divide is a multiply by the real
+    reciprocal of the denominator, which is cheaper than dividing complex by
+    real; any complex matrix is accepted, Hermitian or not.
     """
     arr = as_complex_matrix(bhat)
     n, m = arr.shape
-    denom = (
-        2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)[:, None]
-        + 2.0 * np.cos(2.0 * np.pi * np.arange(m) / m)[None, :]
-        - 4.0
+    recip = np.add.outer(
+        2.0 * np.cos(2.0 * np.pi * np.arange(n) / n),
+        2.0 * np.cos(2.0 * np.pi * np.arange(m) / m) - 4.0,
     )
-    denom[0, 0] = 1.0
-    shat = arr / denom
+    recip[0, 0] = 1.0
+    np.divide(1.0, recip, out=recip)
+    shat = arr * recip
     shat[0, 0] = 0.0
     return shat
 
@@ -235,18 +252,21 @@ def decompose(image, method: str = "opsd", counter: OpCounter | None = None) -> 
     image peak before being discarded.
     """
     img = as_real_matrix(image)
-    parts = spectra(img, method, counter)
+    # keep only P_hat and S_hat, so I_hat and B_hat are freed before the inverse
+    _, _, shat, phat = spectra(img, method, counter)
 
-    s_complex = ifft_2d(parts.shat)
-    limit = RESIDUE_TOL * max(np.abs(img).max(), np.finfo(np.float64).tiny)
-    residue = np.abs(s_complex.imag).max()
+    s_complex = ifft_2d(shat)
+    limit = RESIDUE_TOL * max(img.max(), -img.min(), np.finfo(np.float64).tiny)
+    imag = s_complex.imag
+    # np.maximum, unlike the builtin max, propagates a NaN
+    residue = np.maximum(imag.max(), -imag.min())
     if not residue <= limit:  # a NaN residue must fail too
         raise ArithmeticError(
             f"imaginary residue {residue:.3e} exceeds {limit:.3e}; "
             "input spectra are not those of a real image"
         )
     smooth = s_complex.real
-    return Decomposition(parts.phat, parts.shat, img - smooth, smooth)
+    return Decomposition(phat, shat, img - smooth, smooth)
 
 
 def cross_axis_energy(spectrum) -> float:

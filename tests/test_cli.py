@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from psdfft import read_pgm, write_pgm
+from psdfft import cost_table, read_pgm, write_pgm
 from psdfft.cli import main, run_bench
 
 
@@ -80,6 +80,12 @@ class TestDecompose:
 
 
 class TestSpectrum:
+    def test_oversized_ascii_header_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "huge.pgm"
+        bad.write_bytes(b"P2\n1000000 1000000\n255\n1 2 3\n")
+        assert main(["spectrum", str(bad), "--out", str(tmp_path / "out")]) == 3
+        assert "error:" in capsys.readouterr().err
+
     def test_writes_export_and_scale_log(self, random_pgm, tmp_path, capsys):
         out = tmp_path / "spec"
         assert main(["spectrum", str(random_pgm), "--mode", "log_magnitude", "--out", str(out)]) == 0
@@ -118,6 +124,19 @@ class TestPipelineSim:
         assert all(len(line.split(",")) == 4 for line in trace_lines)
         record = json.loads((out / "reconcile_64x64_seed7.json").read_text())
         assert record["exact"] is True
+
+    def test_mismatch_exits_6(self, tmp_path, monkeypatch, capsys):
+        import dataclasses
+
+        import psdfft.cli
+
+        def off_by_one(n, m):
+            table = cost_table(n, m)
+            return table._replace(opsd=dataclasses.replace(table.opsd, dft_points=table.opsd.dft_points + 1))
+
+        monkeypatch.setattr(psdfft.cli, "cost_table", off_by_one)
+        assert main(["pipeline-sim", "--n", "4", "--m", "8", "--out", str(tmp_path)]) == 6
+        assert "MISMATCH (dft delta -1, dram delta 0)" in capsys.readouterr().out
 
     def test_deterministic_for_same_seed(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -15,6 +15,8 @@ from psdfft import (
     naive_dft_2d,
 )
 
+from psdfft.fft_core import hermitian_fill
+
 from conftest import rel_maxabs
 
 POW2_LENGTHS = [2, 4, 8, 16, 32, 64, 128, 256]
@@ -22,6 +24,24 @@ POW2_LENGTHS = [2, 4, 8, 16, 32, 64, 128, 256]
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_matrix(rng, shape, dtype):
+    if dtype == "complex":
+        return random_complex(rng, *shape)
+    if dtype == "uint16":
+        return rng.integers(0, 65536, size=shape, dtype=np.uint16)
+    return rng.standard_normal(shape).astype(dtype)
+
+
+# Complex input goes through np.fft.fft2, real input through the
+# half-spectrum route, so both are checked against the oracle.
+ORACLE_SHAPES = [(4, 16), (32, 8), (2, 64), (2, 2), (64, 2)]
+ORACLE_CASES = [
+    pytest.param(shape, dtype, id=f"shape{i}" if dtype == "complex" else f"{dtype}-shape{i}")
+    for dtype in ("complex", "float64", "uint16")
+    for i, shape in enumerate(ORACLE_SHAPES)
+]
 
 
 class TestFft1d:
@@ -114,10 +134,23 @@ class TestFft2d:
         a = random_complex(rng, 8, 8)
         assert np.abs(fft_2d(a) - naive_dft_2d(a)).max() < 1e-10
 
-    @pytest.mark.parametrize("shape", [(4, 16), (32, 8), (2, 64)])
-    def test_matches_naive_oracle_rectangular(self, rng, shape):
-        a = random_complex(rng, *shape)
-        assert rel_maxabs(fft_2d(a), naive_dft_2d(a), ref=a) < 1e-9
+    @pytest.mark.parametrize("shape,dtype", ORACLE_CASES)
+    def test_matches_naive_oracle_rectangular(self, rng, shape, dtype):
+        a = random_matrix(rng, shape, dtype)
+        got = fft_2d(a)
+        assert got.shape == shape and got.dtype == np.complex128
+        assert rel_maxabs(got, naive_dft_2d(a), ref=a) < 1e-9
+
+    @pytest.mark.parametrize("dtype", ["float32", "int64", "bool"])
+    def test_real_dtypes_match_complex_route(self, rng, dtype):
+        a = random_matrix(rng, (16, 8), "float64").astype(dtype)
+        got = fft_2d(a)
+        assert got.dtype == np.complex128
+        assert rel_maxabs(got, np.fft.fft2(a.astype(np.complex128)), ref=a.astype(float)) < 1e-12
+
+    def test_real_route_rejects_non_power_of_two(self):
+        with pytest.raises(SizeError):
+            fft_2d(np.zeros((4, 6)))
 
     def test_counter_counts_both_passes(self, rng):
         counter = OpCounter()
@@ -132,10 +165,32 @@ class TestFft2d:
         assert rel_maxabs(rows_first, fft_2d(a), ref=a) < 1e-10
         assert rel_maxabs(cols_first, fft_2d(a), ref=a) < 1e-10
 
+    def test_fft_axis_in_place_on_column_block(self, rng):
+        a = random_complex(rng, 8, 16)
+        want = np.fft.fft(a[:, :9], axis=0)
+        block = a[:, :9]
+        assert fft_axis(block, axis=0, out=block) is block
+        np.testing.assert_allclose(a[:, :9], want, atol=1e-12)
+
     @pytest.mark.parametrize("shape", [(3, 4), (4, 6), (1, 4), (4, 1)])
     def test_rejects_bad_shapes(self, shape):
         with pytest.raises(SizeError):
             fft_2d(np.zeros(shape, dtype=complex))
+
+
+class TestHermitianFill:
+    @pytest.mark.parametrize("shape", [(2, 2), (8, 2), (2, 8), (4, 16), (16, 4)])
+    def test_completes_left_columns_of_real_spectrum(self, rng, shape):
+        full = np.fft.fft2(rng.standard_normal(shape))
+        half = shape[1] // 2 + 1
+        x = np.zeros(shape, dtype=np.complex128)
+        x[:, :half] = full[:, :half]
+        assert hermitian_fill(x) is x
+        n, m = shape
+        for k in range(n):
+            for j in range(half, m):
+                assert x[k, j] == np.conj(x[(n - k) % n, m - j])
+        assert np.abs(x - full).max() < 1e-12
 
 
 class TestNaiveDft2d:

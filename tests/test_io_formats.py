@@ -64,6 +64,22 @@ class TestReadPgm:
         with pytest.raises(FormatError):
             read_pgm(b"P2 2 2 255 1 2 3")
 
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"P2\n1000000 1000000\n255\n1 2 3\n",
+            b"P2\n4000000000 4000000000\n255\n1 2 3\n",
+            b"P2\n3 1\n255\n1 2",
+        ],
+    )
+    def test_ascii_header_claiming_more_pixels_than_bytes(self, blob):
+        # checked before any pixel storage is allocated
+        with pytest.raises(FormatError, match="bytes follow"):
+            read_pgm(blob)
+
+    def test_ascii_minimal_separators(self):
+        np.testing.assert_array_equal(read_pgm(b"P2 2 1 9 1 2"), [[1, 2]])
+
 
 class TestWritePgm:
     def test_exact_round_trip(self):
@@ -96,6 +112,58 @@ class TestWritePgm:
         rng = np.random.default_rng(seed)
         img = rng.integers(0, maxval + 1, size=(5, 7)).astype(np.float64)
         np.testing.assert_array_equal(read_pgm(write_pgm(img, maxval)), img)
+
+
+def plain_write_pgm(matrix, maxval):
+    """write_pgm as plain, allocating expressions: the reference bytes."""
+    arr = np.asarray(matrix, dtype=np.float64)
+    clipped = np.clip(arr, 0.0, float(maxval))
+    rounded = np.floor(clipped + 0.5)
+    rounded = np.minimum(rounded, float(maxval))
+    height, width = arr.shape
+    header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
+    dtype = ">u2" if maxval > 255 else np.uint8
+    return header + rounded.astype(dtype).tobytes()
+
+
+def export_inputs(maxval):
+    """Half-counts, negatives, values above maxval, and noise."""
+    halves = np.arange(-4, maxval + 4) + 0.5
+    edges = [-1e300, -1.0, -0.5, -0.49, -0.0, 0.0, 0.49, maxval - 0.5, maxval - 0.49,
+             maxval, maxval + 0.49, maxval + 0.5, maxval + 1.0, 1e300]
+    noise = np.random.default_rng(maxval).uniform(-10.0, maxval + 10.0, 512)
+    flat = np.concatenate([halves, edges, noise])
+    return np.resize(flat, (4, flat.size // 4 + 1))
+
+
+class TestExportByteIdentity:
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_write_pgm_equals_plain_expressions(self, maxval):
+        img = export_inputs(maxval)
+        assert write_pgm(img, maxval) == plain_write_pgm(img, maxval)
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_display_scale_equals_plain_expressions(self, maxval):
+        img = export_inputs(maxval)
+        scaled, gain, offset = display_scale(img, maxval)
+        lo, hi = float(img.min()), float(img.max())
+        assert gain == float(maxval) / (hi - lo) and offset == -lo * gain
+        np.testing.assert_array_equal(scaled, img * gain + offset)
+
+    def test_log_magnitude_equals_plain_expression(self, rng):
+        x = (rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))) * 1e3
+        x[0, 0], x[1, 1] = 0.0, 0.5
+        want = quadrant_shift(np.log1p(np.abs(x)))
+        np.testing.assert_array_equal(spectrum_export(x, "log_magnitude").data, want)
+        unshifted = spectrum_export(x, "log_magnitude", shift=False).data
+        np.testing.assert_array_equal(unshifted, np.log1p(np.abs(x)))
+
+    def test_exports_leave_their_input_alone(self, rng):
+        img = rng.uniform(-5.0, 300.0, (4, 8))
+        kept = img.copy()
+        write_pgm(img, 255)
+        display_scale(img, 255)
+        np.testing.assert_array_equal(img, kept)
 
 
 class TestSpectrumExport:

@@ -19,6 +19,8 @@ from conftest import rel_maxabs
 
 HAND_IMAGE = np.array([[1.0, 2.0], [3.0, 4.0]])
 
+pow2_sides = st.sampled_from([2, 4, 8, 16, 32, 64])
+
 
 class TestPackFrame:
     def test_payload_length_512(self):
@@ -55,6 +57,20 @@ class TestPacketBytes:
         blob = pkt.to_bytes()
         assert blob[:4] == b"OPSD"
         again = FramePacket.from_bytes(blob)
+        np.testing.assert_array_equal(again.image, pkt.image)
+        np.testing.assert_array_equal(again.boundary_row, pkt.boundary_row)
+        np.testing.assert_array_equal(again.boundary_col, pkt.boundary_col)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(pow2_sides, pow2_sides).filter(lambda d: d[0] != d[1]),
+        scale=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bytes_round_trip_property(self, seed, dims, scale):
+        pkt = pack_frame(np.random.default_rng(seed).standard_normal(dims) * scale)
+        again = FramePacket.from_bytes(pkt.to_bytes())
+        assert (again.n, again.m) == dims
         np.testing.assert_array_equal(again.image, pkt.image)
         np.testing.assert_array_equal(again.boundary_row, pkt.boundary_row)
         np.testing.assert_array_equal(again.boundary_col, pkt.boundary_col)

@@ -159,6 +159,21 @@ class TestOpsdBoundarySpectrum:
         with pytest.raises(SizeError):
             opsd_boundary_spectrum(BoundaryData.zeros(6, 8))
 
+    @pytest.mark.parametrize("shape", [(8, 2), (2, 8), (2, 2)])
+    def test_matches_naive_oracle_two_wide(self, rng, shape):
+        # m == 2 leaves no column for the Hermitian fill; n == 2 has no interior rows
+        img = rng.standard_normal(shape)
+        counter = OpCounter()
+        got = opsd_boundary_spectrum(boundary_data(img), counter)
+        assert rel_maxabs(got, naive_dft_2d(border_image(img)), ref=img) < 1e-12
+        n, m = shape
+        assert (counter.dft_points, counter.ext_mem_points) == (m + n * m, n + m - 1 + n * m)
+
+    def test_rejects_complex_boundary_vectors(self):
+        bd = BoundaryData(np.zeros(4, dtype=complex), np.zeros(4), 0.0)
+        with pytest.raises(ParameterError):
+            opsd_boundary_spectrum(bd)
+
 
 class TestSmoothSpectrum:
     def test_hand_example(self):
@@ -168,6 +183,13 @@ class TestSmoothSpectrum:
     def test_dc_is_always_zero(self, rng):
         shat = smooth_spectrum(rng.standard_normal((8, 8)) + 1j)
         assert shat[0, 0] == 0
+
+    def test_accepts_non_hermitian_input(self, rng):
+        bhat = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
+        s, t = np.arange(4)[:, None], np.arange(8)[None, :]
+        denom = 2 * np.cos(2 * np.pi * s / 4) + 2 * np.cos(2 * np.pi * t / 8) - 4
+        denom[0, 0] = np.inf
+        assert np.abs(smooth_spectrum(bhat) - bhat / denom).max() < 1e-12
 
     def test_nyquist_denominator_is_exactly_minus_eight(self, rng):
         bhat = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
@@ -238,6 +260,22 @@ class TestDecompose:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ParameterError):
             route(signs * 1e308, "opsd")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("route", [spectra, decompose, boundary_data])
+    def test_non_finite_image_is_rejected(self, rng, route, bad):
+        img = rng.standard_normal((8, 8))
+        img[3, 5] = bad
+        with pytest.raises(ParameterError):
+            route(img)
+
+    @pytest.mark.parametrize("imag", [np.nan, 1.0])
+    def test_imaginary_residue_is_rejected(self, monkeypatch, imag):
+        import psdfft.psd
+
+        monkeypatch.setattr(psdfft.psd, "ifft_2d", lambda x: np.full(x.shape, complex(0.0, imag)))
+        with pytest.raises(ArithmeticError):
+            decompose(HAND_IMAGE, "opsd")
+
     def test_spectra_sum_back_to_image_spectrum(self, rng):
         img = rng.standard_normal((16, 16))
         parts = spectra(img, "opsd")
@@ -272,6 +310,30 @@ class TestDecompose:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             decompose(HAND_IMAGE, "fancy")
+
+
+def oracle_phat(img):
+    """P_hat from naive DFTs and the smooth denominator written out here."""
+    n, m = img.shape
+    s, t = np.arange(n)[:, None], np.arange(m)[None, :]
+    denom = 2.0 * np.cos(2.0 * np.pi * s / n) + 2.0 * np.cos(2.0 * np.pi * t / m) - 4.0
+    bhat = naive_dft_2d(border_image(img))
+    shat = np.zeros((n, m), dtype=complex)
+    nonzero = denom != 0.0  # only (0, 0) is zero; S_hat is zero-mean there
+    shat[nonzero] = bhat[nonzero] / denom[nonzero]
+    return naive_dft_2d(img) - shat
+
+
+non_square_dims = st.tuples(pow2_dims, pow2_dims).filter(lambda d: d[0] != d[1])
+scales = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+
+
+@given(seed=st.integers(0, 2**32 - 1), dims=non_square_dims, scale=scales)
+@settings(max_examples=40, deadline=None)
+def test_spectra_phat_matches_naive_oracle(seed, dims, scale):
+    img = np.random.default_rng(seed).standard_normal(dims) * scale
+    got = spectra(img, "opsd").phat
+    assert rel_maxabs(got, oracle_phat(img), ref=img) < 1e-9
 
 
 class TestArtifactReduction:
